@@ -33,6 +33,7 @@ import (
 	"mha/internal/sim"
 	"mha/internal/topology"
 	"mha/internal/trace"
+	"mha/internal/world"
 )
 
 func main() {
@@ -76,26 +77,24 @@ run 'mhacluster <subcommand> -h' for that subcommand's flags.
 
 // opts carries the flags shared by every subcommand.
 type opts struct {
-	nodes, ppn, hcas *int
-	workload         *string
-	jobs             *string
-	seed             *int64
-	policy           *string
-	queue            *string
-	maxInFlight      *int
-	payload          *bool
-	horizon          *time.Duration
-	faultSpec        *string
-	blind            *bool
-	timeline         *bool
-	width            *int
+	mkTopo      func() (topology.Cluster, error)
+	topo        topology.Cluster
+	workload    *string
+	jobs        *string
+	seed        *int64
+	policy      *string
+	queue       *string
+	maxInFlight *int
+	payload     *bool
+	horizon     *time.Duration
+	faultSpec   *string
+	blind       *bool
+	timeline    *bool
+	width       *int
 }
 
 func addFlags(fs *flag.FlagSet) *opts {
-	o := &opts{}
-	o.nodes = fs.Int("nodes", 8, "number of nodes")
-	o.ppn = fs.Int("ppn", 4, "processes per node")
-	o.hcas = fs.Int("hcas", 2, "HCA rails per node")
+	o := &opts{mkTopo: (&world.Spec{Nodes: 8, PPN: 4, HCAs: 2}).BindFlags(fs, "nodes", "ppn", "hcas")}
 	o.workload = fs.String("workload", "random", "workload kind: random (seeded stream) or burst (simultaneous allgathers)")
 	o.jobs = fs.String("jobs", "8", "job count; sweep accepts a comma-separated list")
 	o.seed = fs.Int64("seed", 42, "seed for -workload random")
@@ -111,10 +110,6 @@ func addFlags(fs *flag.FlagSet) *opts {
 	return o
 }
 
-func (o *opts) topo() topology.Cluster {
-	return topology.New(*o.nodes, *o.ppn, *o.hcas)
-}
-
 func (o *opts) faults() (*faults.Schedule, error) {
 	if *o.faultSpec == "" {
 		return nil, nil
@@ -122,24 +117,28 @@ func (o *opts) faults() (*faults.Schedule, error) {
 	return faults.Parse(strings.ReplaceAll(*o.faultSpec, ";", "\n"))
 }
 
-// jobCounts parses the -jobs flag (a single count for run/policy-compare,
-// a comma-separated list for sweep).
-func (o *opts) jobCounts() ([]int, error) {
+// parse reads the command line and returns the -jobs counts (a single
+// count for run/policy-compare, a comma-separated list for sweep).
+func (o *opts) parse(fs *flag.FlagSet, args []string) (counts []int, err error) {
+	fs.Parse(args)
+	if o.topo, err = o.mkTopo(); err != nil {
+		return nil, err
+	}
 	parts := strings.Split(*o.jobs, ",")
-	out := make([]int, 0, len(parts))
+	counts = make([]int, 0, len(parts))
 	for _, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("bad -jobs entry %q (want positive integers)", p)
 		}
-		out = append(out, n)
+		counts = append(counts, n)
 	}
-	return out, nil
+	return counts, nil
 }
 
 // makeJobs builds the deterministic workload.
 func (o *opts) makeJobs(n int) ([]cluster.JobSpec, error) {
-	topo := o.topo()
+	topo := o.topo
 	switch *o.workload {
 	case "random":
 		return cluster.RandomJobs(*o.seed, n, topo, sim.Duration(*o.horizon)), nil
@@ -168,7 +167,7 @@ func runOnce(o *opts, policy string, n int, rec *trace.Recorder) (*cluster.Resul
 		return nil, err
 	}
 	res, err := cluster.Run(cluster.Config{
-		Topo:        o.topo(),
+		Topo:        o.topo,
 		Policy:      policy,
 		Queue:       *o.queue,
 		MaxInFlight: *o.maxInFlight,
@@ -189,8 +188,7 @@ func runOnce(o *opts, policy string, n int, rec *trace.Recorder) (*cluster.Resul
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	o := addFlags(fs)
-	fs.Parse(args)
-	counts, err := o.jobCounts()
+	counts, err := o.parse(fs, args)
 	if err != nil {
 		return err
 	}
@@ -203,7 +201,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	fmt.Printf("cluster: %v  policy=%s queue=%s maxinflight=%d workload=%s\n",
-		o.topo(), *o.policy, *o.queue, *o.maxInFlight, *o.workload)
+		o.topo, *o.policy, *o.queue, *o.maxInFlight, *o.workload)
 	t := bench.NewTable("per-job metrics",
 		"job", "coll", "ranks", "size", "arrival (us)", "wait (us)", "makespan (us)", "slowdown", "rail share", "nodes")
 	for _, jm := range res.Jobs {
@@ -226,8 +224,7 @@ func cmdRun(args []string) error {
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	o := addFlags(fs)
-	fs.Parse(args)
-	counts, err := o.jobCounts()
+	counts, err := o.parse(fs, args)
 	if err != nil {
 		return err
 	}
@@ -247,8 +244,7 @@ func cmdSweep(args []string) error {
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("policy-compare", flag.ExitOnError)
 	o := addFlags(fs)
-	fs.Parse(args)
-	counts, err := o.jobCounts()
+	counts, err := o.parse(fs, args)
 	if err != nil {
 		return err
 	}

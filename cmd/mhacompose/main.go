@@ -30,6 +30,7 @@ import (
 	"mha/internal/sched"
 	"mha/internal/topology"
 	"mha/internal/verify"
+	"mha/internal/world"
 )
 
 func main() {
@@ -77,27 +78,11 @@ run 'mhacompose <subcommand> -h' for that subcommand's flags.
 `)
 }
 
-// topoFlags registers the machine-shape flags on fs and returns a
-// constructor to call after parsing.
-func topoFlags(fs *flag.FlagSet) func() (topology.Cluster, error) {
-	nodes := fs.Int("nodes", 2, "number of nodes")
-	ppn := fs.Int("ppn", 2, "processes per node")
-	hcas := fs.Int("hcas", 2, "network rails per node")
-	sockets := fs.Int("sockets", 0, "NUMA sockets per node (0 = uniform)")
-	layout := fs.String("layout", "block", "rank layout: block or cyclic")
-	return func() (topology.Cluster, error) {
-		c := topology.New(*nodes, *ppn, *hcas)
-		c.Sockets = *sockets
-		switch *layout {
-		case "block":
-		case "cyclic":
-			c.Layout = topology.Cyclic
-		default:
-			return c, fmt.Errorf("unknown layout %q (want block or cyclic)", *layout)
-		}
-		return c, nil
-	}
-}
+// shape returns the machine every subcommand defaults to, and shapeKeys
+// are the world keys it takes as flags.
+func shape() *world.Spec { return &world.Spec{Nodes: 2, PPN: 2, HCAs: 2} }
+
+var shapeKeys = []string{"nodes", "ppn", "hcas", "sockets", "layout"}
 
 // compFlags registers the composition-selection flags and returns a
 // loader: either a standard composition picked by collective name (flat
@@ -151,7 +136,7 @@ func cmdList(args []string) error {
 func cmdDescribe(args []string) error {
 	fs := flag.NewFlagSet("describe", flag.ExitOnError)
 	mkComp := compFlags(fs)
-	mkTopo := topoFlags(fs)
+	mkTopo := shape().BindFlags(fs, shapeKeys...)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -172,7 +157,7 @@ func cmdDescribe(args []string) error {
 func cmdLower(args []string) error {
 	fs := flag.NewFlagSet("lower", flag.ExitOnError)
 	mkComp := compFlags(fs)
-	mkTopo := topoFlags(fs)
+	mkTopo := shape().BindFlags(fs, shapeKeys...)
 	msg := fs.Int("msg", 64<<10, "per-rank message size in bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -188,7 +173,7 @@ func cmdLower(args []string) error {
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	mkComp := compFlags(fs)
-	mkTopo := topoFlags(fs)
+	mkTopo := shape().BindFlags(fs, shapeKeys...)
 	msg := fs.Int("msg", 64<<10, "per-rank message size in bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -234,7 +219,7 @@ func lower(mkComp func() (compose.Composition, error), mkTopo func() (topology.C
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	name := fs.String("name", "compose-ag", "registered variant name (see 'mhacompose list')")
-	mkTopo := topoFlags(fs)
+	mkTopo := shape().BindFlags(fs, shapeKeys...)
 	msg := fs.Int("msg", 4096, "per-rank message size in bytes")
 	seed := fs.Int64("seed", 1, "engine seed")
 	jitter := fs.Float64("jitter", 0, "fabric noise amplitude (0 disables)")

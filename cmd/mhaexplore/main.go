@@ -30,16 +30,15 @@ import (
 
 	"mha/internal/explore"
 	"mha/internal/verify"
+	"mha/internal/world"
 )
 
 func main() {
+	w := world.Spec{Nodes: 2, PPN: 2, HCAs: 2}
+	mkTopo := w.BindFlags(flag.CommandLine, "nodes", "ppn", "hcas", "fabric")
 	var (
 		algs    = flag.String("algs", "ring,rd,sched-mha", "comma-separated variant names")
-		nodes   = flag.Int("nodes", 2, "nodes in the explored world")
-		ppn     = flag.Int("ppn", 2, "ranks per node")
-		hcas    = flag.Int("hcas", 2, "rails (HCAs) per node")
 		msg     = flag.Int("msg", 8, "per-rank contribution in bytes")
-		fabspec = flag.String("fabric", "", "fabric spec (e.g. ft:arity=2,levels=2,over=2); empty means flat")
 		faults  = flag.Bool("faults", false, "also explore every single-rail Down placement")
 		maxExec = flag.Int("max-execs", 0, "executions per (variant, placement) before giving up (default 50000)")
 		budget  = flag.Int("shrink-budget", 0, "replay evaluations per counterexample shrink (default 60)")
@@ -76,8 +75,11 @@ func main() {
 		os.Exit(1)
 	}
 
+	if _, err := mkTopo(); err != nil {
+		fatal(err)
+	}
 	opt := explore.Options{
-		Nodes: *nodes, PPN: *ppn, HCAs: *hcas, Msg: *msg, Fabric: *fabspec,
+		Nodes: w.Nodes, PPN: w.PPN, HCAs: w.HCAs, Msg: *msg, Fabric: w.Fabric,
 		MaxExecs: *maxExec, ShrinkBudget: *budget,
 	}
 	if *faults {

@@ -21,7 +21,7 @@ import (
 	"mha/internal/bench"
 	"mha/internal/fabric"
 	"mha/internal/netmodel"
-	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 func main() {
@@ -45,43 +45,39 @@ func usage() {
 	os.Exit(2)
 }
 
-// buildFlags returns the flag set and cluster/spec flags shared by
-// describe and route.
-func buildFlags(name string) (*flag.FlagSet, *string, *int, *int, *int) {
+// flags returns the flag set of describe and route with the cluster and
+// fabric flags bound, and the network builder to call after parsing.
+func flags(name string) (*flag.FlagSet, *world.Spec, func() *fabric.Network) {
 	fs := flag.NewFlagSet("mhafabric "+name, flag.ExitOnError)
-	spec := fs.String("fabric", "ft:arity=2,levels=2,over=2", "fabric spec (flat, ft:..., dfly:...)")
-	nodes := fs.Int("nodes", 8, "cluster node count")
-	ppn := fs.Int("ppn", 2, "ranks per node")
-	hcas := fs.Int("hcas", 2, "rails per node")
-	return fs, spec, nodes, ppn, hcas
-}
-
-func build(specText string, nodes, ppn, hcas int) *fabric.Network {
-	spec, err := fabric.ParseSpec(specText)
-	if err != nil {
-		fatal(err)
+	w := &world.Spec{Nodes: 8, PPN: 2, HCAs: 2, Fabric: "ft:arity=2,levels=2,over=2"}
+	mkTopo := w.BindFlags(fs, "fabric", "nodes", "ppn", "hcas")
+	return fs, w, func() *fabric.Network {
+		topo, err := mkTopo()
+		if err != nil {
+			fatal(err)
+		}
+		// mkTopo has validated the canonical fabric text ("" is flat).
+		nw, err := fabric.Build(nil, fabric.MustParse(w.Fabric), topo, netmodel.Thor())
+		if err != nil {
+			fatal(err)
+		}
+		return nw
 	}
-	topo := topology.New(nodes, ppn, hcas)
-	nw, err := fabric.Build(nil, spec, topo, netmodel.Thor())
-	if err != nil {
-		fatal(err)
-	}
-	return nw
 }
 
 func describe(args []string) {
-	fs, spec, nodes, ppn, hcas := buildFlags("describe")
+	fs, _, build := flags("describe")
 	_ = fs.Parse(args)
-	build(*spec, *nodes, *ppn, *hcas).Describe(os.Stdout)
+	build().Describe(os.Stdout)
 }
 
 func route(args []string) {
-	fs, spec, nodes, ppn, hcas := buildFlags("route")
+	fs, w, build := flags("route")
 	src := fs.Int("src", 0, "source node")
 	dst := fs.Int("dst", 1, "destination node")
 	all := fs.Bool("all", false, "print every pairwise route")
 	_ = fs.Parse(args)
-	nw := build(*spec, *nodes, *ppn, *hcas)
+	nw := build()
 	printRoute := func(s, d int) {
 		fmt.Printf("node%d -> node%d:", s, d)
 		links := nw.Route(s, d)
@@ -94,8 +90,8 @@ func route(args []string) {
 		fmt.Println()
 	}
 	if *all {
-		for s := 0; s < *nodes; s++ {
-			for d := 0; d < *nodes; d++ {
+		for s := 0; s < w.Nodes; s++ {
+			for d := 0; d < w.Nodes; d++ {
 				if s != d {
 					printRoute(s, d)
 				}
@@ -103,8 +99,8 @@ func route(args []string) {
 		}
 		return
 	}
-	if *src < 0 || *src >= *nodes || *dst < 0 || *dst >= *nodes {
-		fatal(fmt.Errorf("mhafabric: route %d -> %d outside a %d-node cluster", *src, *dst, *nodes))
+	if *src < 0 || *src >= w.Nodes || *dst < 0 || *dst >= w.Nodes {
+		fatal(fmt.Errorf("mhafabric: route %d -> %d outside a %d-node cluster", *src, *dst, w.Nodes))
 	}
 	printRoute(*src, *dst)
 }

@@ -31,13 +31,12 @@ import (
 	"mha/internal/sim"
 	"mha/internal/topology"
 	"mha/internal/trace"
+	"mha/internal/world"
 )
 
 func main() {
+	mkTopo := (&world.Spec{Nodes: 4, PPN: 4, HCAs: 2}).BindFlags(flag.CommandLine, "nodes", "ppn", "hcas")
 	var (
-		nodes    = flag.Int("nodes", 4, "number of nodes")
-		ppn      = flag.Int("ppn", 4, "processes per node")
-		hcas     = flag.Int("hcas", 2, "HCA rails per node")
 		sizes    = flag.String("sizes", "64K,256K,1M", "per-rank message sizes (comma-separated, K/M suffixes)")
 		algs     = flag.String("algs", "mha,two-level,multi-leader,ring", "algorithms to run")
 		specPath = flag.String("spec", "", "fault schedule file (see internal/faults spec format)")
@@ -52,7 +51,10 @@ func main() {
 	)
 	flag.Parse()
 
-	topo := topology.New(*nodes, *ppn, *hcas)
+	topo, err := mkTopo()
+	if err != nil {
+		fatal(err)
+	}
 	prm := netmodel.Thor()
 	sizeList, err := parseSizes(*sizes)
 	if err != nil {

@@ -17,14 +17,12 @@ import (
 	"mha/internal/bench"
 	"mha/internal/netmodel"
 	"mha/internal/perfmodel"
-	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 func main() {
+	mkTopo := (&world.Spec{Nodes: 8, PPN: 32, HCAs: 2}).BindFlags(flag.CommandLine, "nodes", "ppn", "hcas")
 	var (
-		nodes    = flag.Int("nodes", 8, "number of nodes (N)")
-		ppn      = flag.Int("ppn", 32, "processes per node (L)")
-		hcas     = flag.Int("hcas", 2, "network adapters per node (H)")
 		minSize  = flag.Int("min", 1<<10, "smallest per-rank message size")
 		maxSize  = flag.Int("max", 1<<20, "largest per-rank message size")
 		validate = flag.String("validate", "", "run a validation figure instead: 9 or 10")
@@ -49,8 +47,12 @@ func main() {
 		return
 	}
 
+	topo, err := mkTopo()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	prm := netmodel.Thor()
-	topo := topology.New(*nodes, *ppn, *hcas)
 	m := perfmodel.New(prm, topo)
 
 	fmt.Printf("cost model for %v\n", topo)

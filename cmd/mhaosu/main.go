@@ -27,6 +27,7 @@ import (
 	"mha/internal/netmodel"
 	"mha/internal/sim"
 	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 func main() {
@@ -36,10 +37,8 @@ func main() {
 	}
 	test := os.Args[1]
 	fs := flag.NewFlagSet(test, flag.ExitOnError)
+	mkTopo := (&world.Spec{Nodes: 2, PPN: 1, HCAs: 2}).BindFlags(fs, "nodes", "ppn", "hcas")
 	var (
-		nodes   = fs.Int("nodes", 2, "number of nodes")
-		ppn     = fs.Int("ppn", 1, "processes per node")
-		hcas    = fs.Int("hcas", 2, "HCAs per node")
 		machine = fs.String("machine", "", "named preset (overrides -hcas and the cost model): "+strings.Join(machines.Names(), " | "))
 		lib     = fs.String("lib", "mha", "library: hpcx | mvapich2x | mha")
 		min     = fs.Int("min", 1<<10, "smallest message size")
@@ -47,8 +46,12 @@ func main() {
 	)
 	fs.Parse(os.Args[2:])
 
+	topo, err := mkTopo()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	prm := netmodel.Thor()
-	topo := topology.New(*nodes, *ppn, *hcas)
 	if *machine != "" {
 		m, ok := machines.Get(*machine)
 		if !ok {
@@ -56,8 +59,8 @@ func main() {
 			os.Exit(2)
 		}
 		prm = m.Params
+		m.Topo.Nodes, m.Topo.PPN = topo.Nodes, topo.PPN // shape from flags, rails+model from preset
 		topo = m.Topo
-		topo.Nodes, topo.PPN = *nodes, *ppn // shape from flags, rails+model from preset
 		if err := topo.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -29,6 +29,7 @@ import (
 	"mha/internal/sched"
 	"mha/internal/sim"
 	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 func main() {
@@ -76,25 +77,11 @@ run 'mhasched <subcommand> -h' for that subcommand's flags.
 `)
 }
 
-// topoFlags registers the machine-shape flags on fs and returns a
-// constructor to call after parsing.
-func topoFlags(fs *flag.FlagSet) func() (topology.Cluster, error) {
-	nodes := fs.Int("nodes", 2, "number of nodes")
-	ppn := fs.Int("ppn", 2, "processes per node")
-	hcas := fs.Int("hcas", 2, "network rails per node")
-	layout := fs.String("layout", "block", "rank layout: block or cyclic")
-	return func() (topology.Cluster, error) {
-		c := topology.New(*nodes, *ppn, *hcas)
-		switch *layout {
-		case "block":
-		case "cyclic":
-			c.Layout = topology.Cyclic
-		default:
-			return c, fmt.Errorf("unknown layout %q (want block or cyclic)", *layout)
-		}
-		return c, nil
-	}
-}
+// shape returns the machine build and search default to, and shapeKeys
+// are the world keys they take as flags.
+func shape() *world.Spec { return &world.Spec{Nodes: 2, PPN: 2, HCAs: 2} }
+
+var shapeKeys = []string{"nodes", "ppn", "hcas", "layout"}
 
 // buildAlg lowers one named design.
 func buildAlg(alg string, topo topology.Cluster, msg int) (*sched.Schedule, error) {
@@ -163,7 +150,7 @@ func cmdBuild(args []string) error {
 	msg := fs.Int("msg", 64<<10, "message size per rank in bytes")
 	out := fs.String("o", "", "output file (default stdout)")
 	asJSON := fs.Bool("json", false, "emit JSON instead of the text form")
-	mkTopo := topoFlags(fs)
+	mkTopo := shape().BindFlags(fs, shapeKeys...)
 	fs.Parse(args)
 	topo, err := mkTopo()
 	if err != nil {
@@ -258,7 +245,7 @@ func cmdSearch(args []string) error {
 	rounds := fs.Int("rounds", 0, "mutation rounds (default 6)")
 	out := fs.String("o", "", "write the winning schedule here (default: report only)")
 	asJSON := fs.Bool("json", false, "emit the winner as JSON instead of text")
-	mkTopo := topoFlags(fs)
+	mkTopo := shape().BindFlags(fs, shapeKeys...)
 	fs.Parse(args)
 	topo, err := mkTopo()
 	if err != nil {

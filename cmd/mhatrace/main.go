@@ -19,16 +19,14 @@ import (
 	"mha/internal/collectives"
 	"mha/internal/core"
 	"mha/internal/mpi"
-	"mha/internal/topology"
 	"mha/internal/trace"
+	"mha/internal/world"
 )
 
 func main() {
+	mkTopo := (&world.Spec{Nodes: 2, PPN: 2, HCAs: 2}).BindFlags(flag.CommandLine, "nodes", "ppn", "hcas")
 	var (
 		alg     = flag.String("alg", "ring", "algorithm: ring | rd | bruck | direct | mha-intra | mha-inter | kandalla | mamidala")
-		nodes   = flag.Int("nodes", 2, "number of nodes")
-		ppn     = flag.Int("ppn", 2, "processes per node")
-		hcas    = flag.Int("hcas", 2, "HCAs per node")
 		size    = flag.Int("size", 256<<10, "per-rank message size in bytes")
 		width   = flag.Int("width", 100, "timeline width in columns")
 		listing = flag.Bool("listing", false, "print the per-event log instead of the chart")
@@ -42,13 +40,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	topo, err := mkTopo()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	rec := trace.New()
 	w := mpi.New(mpi.Config{
-		Topo:    topology.New(*nodes, *ppn, *hcas),
+		Topo:    topo,
 		Tracer:  rec,
 		Phantom: true,
 	})
-	err := w.Run(func(p *mpi.Proc) {
+	err = w.Run(func(p *mpi.Proc) {
 		run(p, w, mpi.Phantom(*size), mpi.Phantom(*size*p.Size()))
 	})
 	if err != nil {

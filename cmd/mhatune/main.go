@@ -19,13 +19,12 @@ import (
 	"mha/internal/netmodel"
 	"mha/internal/topology"
 	"mha/internal/tuner"
+	"mha/internal/world"
 )
 
 func main() {
+	mkTopo := (&world.Spec{Nodes: 8, PPN: 32, HCAs: 2}).BindFlags(flag.CommandLine, "nodes", "ppn", "hcas")
 	var (
-		nodes    = flag.Int("nodes", 8, "number of nodes")
-		ppn      = flag.Int("ppn", 32, "processes per node")
-		hcas     = flag.Int("hcas", 2, "HCAs per node")
 		out      = flag.String("o", "", "write the generated table to this file (default stdout)")
 		outCache = flag.String("o-cache", "", "also export the table in mhatuned's cache format to this file")
 		show     = flag.String("show", "", "print a saved table and exit")
@@ -64,7 +63,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	topo := topology.New(*nodes, *ppn, *hcas)
+	topo, err := mkTopo()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	sizes := []int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 	fmt.Fprintf(os.Stderr, "measuring %d size classes on %v...\n", len(sizes), topo)
 	t := core.BuildTuningTable(topo, prm, sizes)

@@ -6,31 +6,6 @@ import (
 	"mha/internal/compose"
 )
 
-// FuzzParseHierarchy checks that the hierarchy parser never panics and
-// that accepted specs round-trip: String(Parse(x)) reparses to the
-// same machine.
-func FuzzParseHierarchy(f *testing.F) {
-	f.Add("world nodes=4 ppn=8 hcas=2 layout=block")
-	f.Add("world nodes=2 ppn=4 hcas=4 layout=cyclic sockets=2")
-	f.Add("world nodes=1 ppn=1")
-	f.Add("world nodes=0 ppn=-1 hcas=9999999")
-	f.Add("world nodes=2 ppn=2 nodes=2")
-	f.Add("worldnodes=2")
-	f.Fuzz(func(t *testing.T, spec string) {
-		h, err := compose.ParseHierarchy(spec)
-		if err != nil {
-			return
-		}
-		again, err := compose.ParseHierarchy(h.String())
-		if err != nil {
-			t.Fatalf("canonical form %q of %q does not reparse: %v", h.String(), spec, err)
-		}
-		if !again.Topo.Equal(h.Topo) {
-			t.Fatalf("round trip drifted: %+v vs %+v (input %q)", again.Topo, h.Topo, spec)
-		}
-	})
-}
-
 // FuzzParseComposition checks that the composition parser never panics
 // and that accepted pipelines round-trip through their canonical
 // rendering.

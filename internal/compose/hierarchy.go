@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 // Hierarchy is the declarative machine spec a composition is lowered
@@ -41,15 +42,12 @@ func (h Hierarchy) Levels() []Level {
 	}
 }
 
-// String renders the canonical one-line spec accepted by
-// ParseHierarchy.
+// String renders the canonical line ParseHierarchy reads: "world " and
+// the world line (a custom placement table has no text form).
 func (h Hierarchy) String() string {
 	t := h.Topo
-	s := fmt.Sprintf("world nodes=%d ppn=%d hcas=%d layout=%s", t.Nodes, t.PPN, t.HCAs, t.Layout)
-	if t.Sockets > 0 {
-		s += fmt.Sprintf(" sockets=%d", t.Sockets)
-	}
-	return s
+	return "world " + world.Spec{Nodes: t.Nodes, PPN: t.PPN, HCAs: t.HCAs, Layout: t.Layout,
+		Sockets: t.Sockets, NodeHCAs: t.NodeHCAs, RailBW: t.RailBW}.String()
 }
 
 // Describe renders the level table, one line per level.
@@ -68,39 +66,19 @@ func (h Hierarchy) Validate() error { return h.Topo.Validate() }
 //
 //	world nodes=4 ppn=8 hcas=2 layout=block sockets=2
 //
-// layout defaults to block and sockets to 0 (no NUMA split); hcas
-// defaults to 1. The result is shape-validated.
+// The fields after "world" are a validated world line (internal/world)
+// without a fabric, since lowering is fabric-oblivious.
 func ParseHierarchy(line string) (Hierarchy, error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 || fields[0] != "world" {
 		return Hierarchy{}, fmt.Errorf("compose: hierarchy spec must start with \"world\"")
 	}
-	kv, err := keyvals(fields[1:], "nodes", "ppn", "hcas", "layout", "sockets")
+	w, err := world.Parse(strings.Join(fields[1:], " "))
 	if err != nil {
-		return Hierarchy{}, fmt.Errorf("compose: %v", err)
+		return Hierarchy{}, err
 	}
-	var t topology.Cluster
-	var errs [4]error
-	t.Nodes, errs[0] = kv.num("nodes", -1)
-	t.PPN, errs[1] = kv.num("ppn", -1)
-	t.HCAs, errs[2] = kv.num("hcas", 1)
-	t.Sockets, errs[3] = kv.num("sockets", 0)
-	for _, err := range errs {
-		if err != nil {
-			return Hierarchy{}, fmt.Errorf("compose: %v", err)
-		}
+	if w.Fabric != "" {
+		return Hierarchy{}, fmt.Errorf("compose: a hierarchy takes no fabric, have %s", w.Fabric)
 	}
-	switch kv.str("layout", "block") {
-	case "block":
-		t.Layout = topology.Block
-	case "cyclic":
-		t.Layout = topology.Cyclic
-	default:
-		return Hierarchy{}, fmt.Errorf("compose: unknown layout %q", kv.str("layout", ""))
-	}
-	h := Hierarchy{Topo: t}
-	if err := h.Validate(); err != nil {
-		return Hierarchy{}, fmt.Errorf("compose: %v", err)
-	}
-	return h, nil
+	return NewHierarchy(w.Cluster()), nil
 }

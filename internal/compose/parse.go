@@ -2,8 +2,9 @@ package compose
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"mha/internal/world"
 )
 
 // The composition spec is line-oriented, mirroring the sched text form:
@@ -72,11 +73,11 @@ func ParseComposition(text string) (Composition, error) {
 			if len(fields) < 2 || strings.ContainsRune(fields[1], '=') {
 				return c, fmt.Errorf("%s: compose header needs a name", at)
 			}
-			kv, err := keyvals(fields[2:], "coll")
+			kv, err := world.Tokenize(fields[2:], "coll")
 			if err != nil {
 				return c, fmt.Errorf("%s: %v", at, err)
 			}
-			coll, err := ParseCollective(kv.str("coll", ""))
+			coll, err := ParseCollective(kv.Str("coll", ""))
 			if err != nil {
 				return c, fmt.Errorf("%s: %v", at, err)
 			}
@@ -86,7 +87,7 @@ func ParseComposition(text string) (Composition, error) {
 			if !seen {
 				return c, fmt.Errorf("%s: primitive before compose header", at)
 			}
-			kv, err := keyvals(fields[1:], "scope", "alg", "striped", "offload")
+			kv, err := world.Tokenize(fields[1:], "scope", "alg", "striped", "offload")
 			if err != nil {
 				return c, fmt.Errorf("%s: %v", at, err)
 			}
@@ -94,20 +95,19 @@ func ParseComposition(text string) (Composition, error) {
 			if fields[0] == "red" {
 				pr.Op = Reduce
 			}
-			if pr.Scope, err = parseScope(kv.str("scope", "world")); err != nil {
+			if pr.Scope, err = parseScope(kv.Str("scope", "world")); err != nil {
 				return c, fmt.Errorf("%s: %v", at, err)
 			}
-			if pr.Alg, err = parseAlg(kv.str("alg", "direct")); err != nil {
+			if pr.Alg, err = parseAlg(kv.Str("alg", "direct")); err != nil {
 				return c, fmt.Errorf("%s: %v", at, err)
 			}
-			striped, err := kv.num("striped", 0)
-			if err != nil {
-				return c, fmt.Errorf("%s: %v", at, err)
-			}
-			pr.Striped = striped != 0
-			if off := kv.str("offload", "0"); off == "auto" {
+			pr.Striped = kv.Int("striped", 0, &err) != 0
+			if off := kv.Str("offload", "0"); off == "auto" {
 				pr.Offload = AutoOffload
-			} else if pr.Offload, err = kv.num("offload", 0); err != nil {
+			} else {
+				pr.Offload = kv.Int("offload", 0, &err)
+			}
+			if err != nil {
 				return c, fmt.Errorf("%s: %v", at, err)
 			}
 			if pr.Offload < AutoOffload {
@@ -133,53 +133,4 @@ func ParseComposition(text string) (Composition, error) {
 		return c, fmt.Errorf("compose: %s has no primitives", c.Name)
 	}
 	return c, nil
-}
-
-// kvset holds the key=value fields of one directive line.
-type kvset map[string]string
-
-// keyvals splits "k=v" fields, rejecting unknown keys and duplicates.
-func keyvals(fields []string, allowed ...string) (kvset, error) {
-	kv := kvset{}
-	for _, f := range fields {
-		eq := strings.IndexByte(f, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("malformed field %q (want key=value)", f)
-		}
-		k, v := f[:eq], f[eq+1:]
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("unknown key %q", k)
-		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (kv kvset) str(k, def string) string {
-	if v, ok := kv[k]; ok {
-		return v
-	}
-	return def
-}
-
-func (kv kvset) num(k string, def int) (int, error) {
-	v, ok := kv[k]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", k, v)
-	}
-	return n, nil
 }

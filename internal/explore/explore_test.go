@@ -215,6 +215,9 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=ring nodes=2 sched=a.b",          // non-numeric choice
 		"alg=ring nodes=2 fault=node5.rail0",  // fault off-cluster
 		"alg=ring nodes=2 fault=node0.railxy", // malformed fault
+		"alg=ring nodes=2 nodes=4",            // duplicate key
+		"alg=ring blind=yes",                  // unknown key
+		"alg=ring nodes=2 nodes=1 ppn=2",      // duplicate key, valid either way
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)

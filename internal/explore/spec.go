@@ -14,10 +14,10 @@ import (
 	"strconv"
 	"strings"
 
-	"mha/internal/fabric"
 	"mha/internal/faults"
 	"mha/internal/sim"
 	"mha/internal/verify"
+	"mha/internal/world"
 )
 
 // MaxWorldRanks bounds the worlds the explorer accepts: exhaustive
@@ -92,14 +92,19 @@ type Spec struct {
 	Choices []int
 }
 
+// worldKeys are the world keys (internal/world) an explored world may
+// set; the explorer fixes the rest (block layout, flat memory,
+// homogeneous rails).
+var worldKeys = []string{"nodes", "ppn", "hcas", "fabric"}
+
+// specKeys are every key a spec line may carry.
+var specKeys = append([]string{"alg", "msg", "fault", "sched"}, worldKeys...)
+
 // String renders the one-line form ParseSpec reads.
 func (s Spec) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "alg=%s nodes=%d ppn=%d hcas=%d msg=%d", s.Alg, s.Nodes, s.PPN, s.HCAs, s.Msg)
-	if s.Fabric != "" {
-		fmt.Fprintf(&b, " fabric=%s", s.Fabric)
-	}
-	fmt.Fprintf(&b, " fault=%s sched=", s.Fault)
+	w := world.Spec{Nodes: s.Nodes, PPN: s.PPN, HCAs: s.HCAs, Fabric: s.Fabric}
+	fmt.Fprintf(&b, "alg=%s %s msg=%d fault=%s sched=", s.Alg, w.Format(worldKeys...), s.Msg, s.Fault)
 	if len(s.Choices) == 0 {
 		b.WriteString("canonical")
 		return b.String()
@@ -114,57 +119,45 @@ func (s Spec) String() string {
 }
 
 // ParseSpec reads a line produced by String (the inverse, modulo
-// whitespace). Unknown keys are an error; every key except alg has a
-// default (one node, one rank, one rail, empty message, healthy rails,
-// canonical schedule).
+// whitespace and key order). Unknown and repeated keys are an error;
+// every key except alg has a default (one node, one rank, one rail,
+// empty message, healthy rails, canonical schedule).
 func ParseSpec(line string) (Spec, error) {
-	s := Spec{Nodes: 1, PPN: 1, HCAs: 1, Fault: NoFault}
-	for _, field := range strings.Fields(strings.TrimSpace(line)) {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return s, fmt.Errorf("explore: bad field %q (want key=value)", field)
-		}
-		var err error
-		switch k {
-		case "alg":
-			s.Alg = v
-		case "nodes":
-			s.Nodes, err = strconv.Atoi(v)
-		case "ppn":
-			s.PPN, err = strconv.Atoi(v)
-		case "hcas":
-			s.HCAs, err = strconv.Atoi(v)
-		case "msg":
-			s.Msg, err = strconv.Atoi(v)
-		case "fabric":
-			var fs fabric.Spec
-			if fs, err = fabric.ParseSpec(v); err == nil {
-				s.Fabric = fs.String()
-				if fs.Kind == fabric.Flat {
-					s.Fabric = ""
+	s := Spec{Fault: NoFault}
+	w := world.Spec{Nodes: 1, PPN: 1, HCAs: 1}
+	fields, err := world.Tokenize(strings.Fields(line), specKeys...)
+	if err != nil {
+		return s, fmt.Errorf("explore: %v", err)
+	}
+	for _, f := range fields {
+		known, err := w.Set(f.Key, f.Val)
+		if !known {
+			switch f.Key {
+			case "alg":
+				s.Alg = f.Val
+			case "msg":
+				s.Msg, err = strconv.Atoi(f.Val)
+			case "fault":
+				s.Fault, err = parsePlacement(f.Val)
+			case "sched":
+				if f.Val == "canonical" {
+					break
 				}
-			}
-		case "fault":
-			s.Fault, err = parsePlacement(v)
-		case "sched":
-			if v != "canonical" {
-				for _, part := range strings.Split(v, ".") {
-					var c int
-					c, err = strconv.Atoi(part)
-					if err != nil || c < 0 {
+				for _, part := range strings.Split(f.Val, ".") {
+					c, cerr := strconv.Atoi(part)
+					if cerr != nil || c < 0 {
 						err = fmt.Errorf("bad choice %q", part)
 						break
 					}
 					s.Choices = append(s.Choices, c)
 				}
 			}
-		default:
-			err = fmt.Errorf("unknown key")
 		}
 		if err != nil {
-			return s, fmt.Errorf("explore: field %q: %v", field, err)
+			return s, fmt.Errorf("explore: field %q: %v", f.Key+"="+f.Val, err)
 		}
 	}
+	s.Nodes, s.PPN, s.HCAs, s.Fabric = w.Nodes, w.PPN, w.HCAs, w.Fabric
 	if s.Alg == "" {
 		return s, fmt.Errorf("explore: spec is missing alg=")
 	}

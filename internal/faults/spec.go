@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mha/internal/sim"
+	"mha/internal/world"
 )
 
 // Parse reads the textual fault-schedule format: one fault per line,
@@ -16,7 +17,7 @@ import (
 //	latency node=2 rail=* extra=5us from=1ms
 //	flap    node=1 rail=0 period=200us down=50us until=forever
 //
-// Keys may appear in any order. node/rail default to * (every node/rail),
+// Keys may appear in any order, each at most once. node/rail default to * (every node/rail),
 // from defaults to 0 and until to forever. Durations use Go syntax
 // (ns/us/ms/s). Blank lines and #-comments are skipped.
 func Parse(text string) (*Schedule, error) {
@@ -52,42 +53,39 @@ func parseFault(fields []string) (Fault, error) {
 	default:
 		return f, fmt.Errorf("unknown fault kind %q (want down|degrade|latency|flap)", fields[0])
 	}
-	for _, kv := range fields[1:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return f, fmt.Errorf("malformed field %q (want key=value)", kv)
-		}
-		var err error
-		switch key {
+	kvs, err := world.Tokenize(fields[1:], "node", "rail", "from", "until", "frac", "extra", "period", "down")
+	if err != nil {
+		return f, err
+	}
+	for _, kv := range kvs {
+		switch kv.Key {
 		case "node":
-			f.Node, err = parseIndex(val)
+			f.Node, err = parseIndex(kv.Val)
 		case "rail":
-			f.Rail, err = parseIndex(val)
+			f.Rail, err = parseIndex(kv.Val)
 		case "from":
 			var d sim.Duration
-			d, err = parseDuration(val)
+			d, err = parseDuration(kv.Val)
 			f.From = sim.Time(d)
 		case "until":
-			if val == "forever" {
+			if kv.Val == "forever" {
 				f.Until = Forever
 			} else {
 				var d sim.Duration
-				d, err = parseDuration(val)
+				d, err = parseDuration(kv.Val)
 				f.Until = sim.Time(d)
 			}
 		case "frac":
-			f.Fraction, err = strconv.ParseFloat(val, 64)
+			f.Fraction, err = strconv.ParseFloat(kv.Val, 64)
 		case "extra":
-			f.Extra, err = parseDuration(val)
+			f.Extra, err = parseDuration(kv.Val)
 		case "period":
-			f.Period, err = parseDuration(val)
+			f.Period, err = parseDuration(kv.Val)
 		case "down":
-			f.DownFor, err = parseDuration(val)
-		default:
-			return f, fmt.Errorf("unknown key %q", key)
+			f.DownFor, err = parseDuration(kv.Val)
 		}
 		if err != nil {
-			return f, fmt.Errorf("field %q: %w", kv, err)
+			return f, fmt.Errorf("field %q: %w", kv.Key+"="+kv.Val, err)
 		}
 	}
 	return f, nil

@@ -3,10 +3,10 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 // The serialized forms. Text is line-oriented, mirroring the fault-
@@ -109,7 +109,7 @@ func parseJSON(text string) (*Schedule, error) {
 	if err := dec.Decode(&js); err != nil {
 		return nil, fmt.Errorf("sched: bad JSON: %v", err)
 	}
-	layout, err := parseLayout(js.Layout)
+	layout, err := world.ParseLayout(js.Layout)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %v", err)
 	}
@@ -152,17 +152,6 @@ func parseJSON(text string) (*Schedule, error) {
 	return s, nil
 }
 
-func parseLayout(s string) (topology.Layout, error) {
-	switch s {
-	case "block":
-		return topology.Block, nil
-	case "cyclic":
-		return topology.Cyclic, nil
-	default:
-		return 0, fmt.Errorf("unknown layout %q", s)
-	}
-}
-
 func parseText(text string) (*Schedule, error) {
 	var s *Schedule
 	inStep := false
@@ -184,29 +173,16 @@ func parseText(text string) (*Schedule, error) {
 			if len(fields) < 2 || strings.ContainsRune(fields[1], '=') {
 				return nil, fmt.Errorf("%s: schedule header needs a name", at)
 			}
-			kv, err := keyvals(fields[2:], "nodes", "ppn", "hcas", "layout", "msg", "blocks")
+			kv, err := world.Tokenize(fields[2:], "nodes", "ppn", "hcas", "layout", "msg", "blocks")
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
 			}
-			layout, err := parseLayout(kv.str("layout", "block"))
+			layout, err := world.ParseLayout(kv.Str("layout", "block"))
+			s = &Schedule{Name: fields[1], Msg: kv.Int("msg", -1, &err), NumBlocks: kv.Int("blocks", 0, &err),
+				Topo: topology.Cluster{Nodes: kv.Int("nodes", -1, &err), PPN: kv.Int("ppn", -1, &err),
+					HCAs: kv.Int("hcas", 1, &err), Layout: layout}}
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
-			}
-			nodes, err1 := kv.num("nodes", -1)
-			ppn, err2 := kv.num("ppn", -1)
-			hcas, err3 := kv.num("hcas", 1)
-			msg, err4 := kv.num("msg", -1)
-			blocks, err5 := kv.num("blocks", 0)
-			for _, err := range []error{err1, err2, err3, err4, err5} {
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", at, err)
-				}
-			}
-			s = &Schedule{
-				Name:      fields[1],
-				Topo:      topology.Cluster{Nodes: nodes, PPN: ppn, HCAs: hcas, Layout: layout},
-				Msg:       msg,
-				NumBlocks: blocks,
 			}
 		case "step":
 			if s == nil {
@@ -221,56 +197,37 @@ func parseText(text string) (*Schedule, error) {
 			if !inStep {
 				return nil, fmt.Errorf("%s: xfer outside a step", at)
 			}
-			kv, err := keyvals(fields[1:], "src", "dst", "first", "count", "off", "len", "via", "rail", "red")
+			kv, err := world.Tokenize(fields[1:], "src", "dst", "first", "count", "off", "len", "via", "rail", "red")
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
 			}
-			t := Transfer{}
-			var errs [6]error
-			t.Src, errs[0] = kv.num("src", -1)
-			t.Dst, errs[1] = kv.num("dst", -1)
-			t.First, errs[2] = kv.num("first", -1)
-			t.Count, errs[3] = kv.num("count", -1)
-			t.Off, errs[4] = kv.num("off", 0)
-			t.Len, errs[5] = kv.num("len", t.Count*s.Msg)
-			for _, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", at, err)
-				}
+			t := Transfer{Src: kv.Int("src", -1, &err), Dst: kv.Int("dst", -1, &err),
+				First: kv.Int("first", -1, &err), Count: kv.Int("count", -1, &err)}
+			t.Off, t.Len = kv.Int("off", 0, &err), kv.Int("len", t.Count*s.Msg, &err)
+			t.Rail, t.Red = kv.Int("rail", 0, &err), kv.Int("red", 0, &err) != 0
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", at, err)
 			}
-			if kv.has("off") != kv.has("len") {
+			_, hasOff := kv.Get("off")
+			if _, hasLen := kv.Get("len"); hasOff != hasLen {
 				return nil, fmt.Errorf("%s: off and len must appear together", at)
 			}
-			if t.Via, err = parseVia(kv.str("via", "auto")); err != nil {
+			if t.Via, err = parseVia(kv.Str("via", "auto")); err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
 			}
-			if t.Rail, err = kv.num("rail", 0); err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
-			}
-			red, err := kv.num("red", 0)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", at, err)
-			}
-			t.Red = red != 0
 			st := &s.Steps[len(s.Steps)-1]
 			st.Xfers = append(st.Xfers, t)
 		case "copy":
 			if !inStep {
 				return nil, fmt.Errorf("%s: copy outside a step", at)
 			}
-			kv, err := keyvals(fields[1:], "rank", "first", "count")
+			kv, err := world.Tokenize(fields[1:], "rank", "first", "count")
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", at, err)
 			}
-			cp := Copy{}
-			var errs [3]error
-			cp.Rank, errs[0] = kv.num("rank", -1)
-			cp.First, errs[1] = kv.num("first", -1)
-			cp.Count, errs[2] = kv.num("count", -1)
-			for _, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v", at, err)
-				}
+			cp := Copy{Rank: kv.Int("rank", -1, &err), First: kv.Int("first", -1, &err), Count: kv.Int("count", -1, &err)}
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", at, err)
 			}
 			st := &s.Steps[len(s.Steps)-1]
 			st.Copies = append(st.Copies, cp)
@@ -285,58 +242,4 @@ func parseText(text string) (*Schedule, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// kvset holds the key=value fields of one directive line.
-type kvset map[string]string
-
-// keyvals splits "k=v" fields, rejecting unknown keys and duplicates.
-func keyvals(fields []string, allowed ...string) (kvset, error) {
-	kv := kvset{}
-	for _, f := range fields {
-		eq := strings.IndexByte(f, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("malformed field %q (want key=value)", f)
-		}
-		k, v := f[:eq], f[eq+1:]
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("unknown key %q", k)
-		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (kv kvset) has(k string) bool { return kv[k] != "" }
-
-func (kv kvset) str(k, def string) string {
-	if v, ok := kv[k]; ok {
-		return v
-	}
-	return def
-}
-
-// num parses an integer value; def < 0 with the key present is fine, a
-// def of -1 paired with an absent required key surfaces later as a
-// Validate range error.
-func (kv kvset) num(k string, def int) (int, error) {
-	v, ok := kv[k]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", k, v)
-	}
-	return n, nil
 }

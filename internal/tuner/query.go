@@ -8,9 +8,9 @@ import (
 	"math"
 	"strings"
 
-	"mha/internal/fabric"
 	"mha/internal/sched"
 	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 // Service limits. The daemon answers queries the synthesizer can turn
@@ -85,17 +85,12 @@ func (q Query) validate() error {
 	case q.Msg < 1 || q.Msg > MaxQueryMsg:
 		return fmt.Errorf("tuner: msg %d outside [1,%d]", q.Msg, MaxQueryMsg)
 	}
-	if q.Layout != "" && q.Layout != "block" && q.Layout != "cyclic" {
-		return fmt.Errorf("tuner: unknown layout %q", q.Layout)
+	w, err := q.world()
+	if err == nil {
+		err = w.Validate()
 	}
-	if q.Fabric != "" {
-		fs, err := fabric.ParseSpec(q.Fabric)
-		if err != nil {
-			return fmt.Errorf("tuner: %v", err)
-		}
-		if err := fs.CheckNodes(q.Nodes); err != nil {
-			return fmt.Errorf("tuner: %v", err)
-		}
+	if err != nil {
+		return fmt.Errorf("tuner: %v", err)
 	}
 	if q.Health != nil {
 		if len(q.Health) != q.HCAs {
@@ -131,21 +126,9 @@ func (q Query) Canonical() (Query, string, error) {
 	if err := q.validate(); err != nil {
 		return Query{}, "", err
 	}
+	w, _ := q.world() // validate has read it once already
 	cq := q
-	if cq.Layout == "" {
-		cq.Layout = "block"
-	}
-	if cq.Fabric != "" {
-		fs, err := fabric.ParseSpec(cq.Fabric)
-		if err != nil {
-			return Query{}, "", fmt.Errorf("tuner: %v", err)
-		}
-		if fs.Kind == fabric.Flat {
-			cq.Fabric = ""
-		} else {
-			cq.Fabric = fs.String()
-		}
-	}
+	cq.Layout, cq.Fabric = w.Layout.String(), w.Fabric
 	if cq.Health != nil {
 		quant := make([]float64, len(cq.Health))
 		healthy := true
@@ -183,13 +166,21 @@ func (q Query) Canonical() (Query, string, error) {
 	return cq, hex.EncodeToString(sum[:]), nil
 }
 
+// world reads the query's machine shape through the world grammar; an
+// omitted layout is block and an omitted fabric is flat.
+func (q Query) world() (world.Spec, error) {
+	w := world.Spec{Nodes: q.Nodes, PPN: q.PPN, HCAs: q.HCAs}
+	_, err := w.Set("fabric", q.Fabric)
+	if q.Layout != "" && err == nil {
+		_, err = w.Set("layout", q.Layout)
+	}
+	return w, err
+}
+
 // Cluster is the topology the canonical query describes.
 func (q Query) Cluster() topology.Cluster {
-	layout := topology.Block
-	if q.Layout == "cyclic" {
-		layout = topology.Cyclic
-	}
-	return topology.Cluster{Nodes: q.Nodes, PPN: q.PPN, HCAs: q.HCAs, Layout: layout}
+	w, _ := q.world() // a canonical query has a valid layout and fabric
+	return w.Cluster()
 }
 
 // equal compares two queries field-by-field (health as values).

@@ -122,6 +122,25 @@ func TestCanonicalKey(t *testing.T) {
 			t.Errorf("varying %s did not change the key", name)
 		}
 	}
+
+	// Absolute keys: persisted caches stay valid only while these bytes
+	// hold, whatever refactor touches layout or fabric canonicalization.
+	pin := Query{Nodes: 2, PPN: 4, HCAs: 2, Msg: 64 << 10}
+	degraded, fat := pin, pin
+	degraded.Health = []float64{1, 0.5}
+	fat.Fabric = "ft:arity=2,levels=2,over=2"
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{pin, "9c985077b7c0027fb04c50e2fb94dda94f07d892dcb9704eec7095ba91e5e72c"},
+		{degraded, "18abc0ee0a779cb016764d43158c016cf5519c4ba3e1e5976daaab2a971b238d"},
+		{fat, "9cbd4c56efb06488f4fa2b9e37238e216641fd857fbc636bbd03b4b3f442a6bb"},
+	} {
+		if got := key(c.q); got != c.want {
+			t.Errorf("key(%v) = %s, want %s", c.q, got, c.want)
+		}
+	}
 }
 
 func TestCanonicalRejectsAllRailsDown(t *testing.T) {

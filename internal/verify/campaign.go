@@ -162,16 +162,13 @@ func Generate(rng *rand.Rand, algs []Algorithm, maxRanks int) Scenario {
 	// cross-check apply unchanged.
 	if r := rng.Float64(); r < 0.10 {
 		arity := []int{2, 2, 4}[rng.Intn(3)]
-		over := []string{"2", "4", "3:2"}[rng.Intn(3)]
-		sc.Fabric = fmt.Sprintf("ft:arity=%d,levels=2,over=%s", arity, over)
-		if s, err := fabric.ParseSpec(sc.Fabric); err == nil {
-			sc.Fabric = s.String()
-		}
+		over := []float64{2, 4, 1.5}[rng.Intn(3)]
+		ft := fabric.TwoLevel(arity, over)
+		sc.Fabric = ft.String()
 	} else if r < 0.15 && sc.Nodes%2 == 0 && sc.Nodes >= 4 {
-		sc.Fabric = fmt.Sprintf("dfly:groups=%d,routers=2,nodes=1", sc.Nodes/2)
-		if s, err := fabric.ParseSpec(sc.Fabric); err == nil {
-			sc.Fabric = s.String()
-		}
+		dfly := fabric.Spec{Kind: fabric.Dragonfly, Groups: sc.Nodes / 2, Routers: 2,
+			NodesPer: 1, LocalOver: 1, GlobalOver: 1}
+		sc.Fabric = dfly.String()
 	}
 	// Heterogeneous nodes: mixed per-node rail counts and asymmetric rail
 	// bandwidths, biased rare so the bulk of the campaign stays on the

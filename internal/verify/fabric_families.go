@@ -28,22 +28,10 @@ func FabricFamilies() map[string][]string {
 	for _, alg := range localityVariants {
 		for _, env := range envs {
 			fams["fabric-ft-2:1"] = append(fams["fabric-ft-2:1"],
-				"alg="+alg+" "+withFabric(env, "ft:arity=2,levels=2,over=2"))
+				"alg="+alg+" fabric=ft:arity=2,levels=2,over=2 "+env)
 			fams["fabric-dfly"] = append(fams["fabric-dfly"],
-				"alg="+alg+" "+withFabric(env, "dfly:groups=2,routers=2,nodes=1,global=2"))
+				"alg="+alg+" fabric=dfly:groups=2,routers=2,nodes=1,global=2 "+env)
 		}
 	}
 	return fams
-}
-
-// withFabric splices a fabric= field into an env string, keeping faults=
-// (which must stay last) at the end.
-func withFabric(env, spec string) string {
-	const faultsKey = " faults="
-	for i := 0; i+len(faultsKey) <= len(env); i++ {
-		if env[i:i+len(faultsKey)] == faultsKey {
-			return env[:i] + " fabric=" + spec + env[i:]
-		}
-	}
-	return env + " fabric=" + spec
 }

@@ -103,7 +103,7 @@ func RunOnce(sc Scenario, install func(*mpi.World)) (res RunResult) {
 	if !ok {
 		return RunResult{Violations: []Violation{{Kind: "spec", Detail: "unknown algorithm " + sc.Alg}}}
 	}
-	fspec, ferr := sc.FabricSpec()
+	fspec, ferr := sc.World().FabricSpec()
 	if ferr != nil {
 		return RunResult{Violations: []Violation{{Kind: "spec", Detail: ferr.Error()}}}
 	}

@@ -5,10 +5,10 @@ import (
 	"strconv"
 	"strings"
 
-	"mha/internal/fabric"
 	"mha/internal/faults"
 	"mha/internal/netmodel"
 	"mha/internal/topology"
+	"mha/internal/world"
 )
 
 // Scenario is one fully-specified verification run: a variant, a cluster,
@@ -18,10 +18,13 @@ import (
 type Scenario struct {
 	// Alg names a registered Algorithm.
 	Alg string
-	// Cluster shape.
+	// The machine shape, field for field a world.Spec (see World), except
+	// that Fabric may be in any spelling the fabric grammar accepts.
 	Nodes, PPN, HCAs, Sockets int
-	// Layout is the rank-to-node mapping.
-	Layout topology.Layout
+	Layout                    topology.Layout
+	Fabric                    string
+	NodeHCAs                  []int
+	RailBW                    []float64
 	// Msg is the per-rank contribution in bytes (0 is legal).
 	Msg int
 	// Seed feeds the world's jitter RNG.
@@ -30,41 +33,19 @@ type Scenario struct {
 	Jitter float64
 	// Blind runs the health-unaware transport baseline.
 	Blind bool
-	// Fabric is an internal/fabric spec ("" or "flat" means the default
-	// flat fabric), putting the run's inter-node traffic on shared
-	// fat-tree or dragonfly links.
-	Fabric string
-	// NodeHCAs, when non-empty, gives each node its own usable rail
-	// count (mixed 1/2-HCA clusters); len must equal Nodes.
-	NodeHCAs []int
-	// RailBW, when non-empty, scales each rail's bandwidth (asymmetric
-	// rails); len must equal HCAs.
-	RailBW []float64
 	// Faults degrades the rails over the run; nil means healthy.
 	Faults *faults.Schedule
 }
 
-// Topo returns the scenario's cluster.
-func (sc Scenario) Topo() topology.Cluster {
-	return topology.Cluster{Nodes: sc.Nodes, PPN: sc.PPN, HCAs: sc.HCAs,
-		Layout: sc.Layout, Sockets: sc.Sockets,
+// World returns the scenario's machine shape.
+func (sc Scenario) World() world.Spec {
+	return world.Spec{Nodes: sc.Nodes, PPN: sc.PPN, HCAs: sc.HCAs,
+		Layout: sc.Layout, Sockets: sc.Sockets, Fabric: sc.Fabric,
 		NodeHCAs: sc.NodeHCAs, RailBW: sc.RailBW}
 }
 
-// FabricSpec parses the scenario's fabric field (nil when flat).
-func (sc Scenario) FabricSpec() (*fabric.Spec, error) {
-	if sc.Fabric == "" {
-		return nil, nil
-	}
-	s, err := fabric.ParseSpec(sc.Fabric)
-	if err != nil {
-		return nil, err
-	}
-	if s.Kind == fabric.Flat {
-		return nil, nil
-	}
-	return &s, nil
-}
+// Topo returns the scenario's cluster.
+func (sc Scenario) Topo() topology.Cluster { return sc.World().Cluster() }
 
 // Params returns the scenario's cost model: the Thor calibration (NUMA
 // variant when the cluster has socket structure) with the scenario's
@@ -86,11 +67,10 @@ func (sc Scenario) Validate() error {
 	if !ok {
 		return fmt.Errorf("verify: unknown algorithm %q", sc.Alg)
 	}
-	topo := sc.Topo()
-	if err := topo.Validate(); err != nil {
+	if err := sc.World().Validate(); err != nil {
 		return err
 	}
-	if !alg.Supports(topo) {
+	if topo := sc.Topo(); !alg.Supports(topo) {
 		return fmt.Errorf("verify: %s does not support %v", sc.Alg, topo)
 	}
 	if sc.Msg < 0 {
@@ -98,13 +78,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Jitter < 0 {
 		return fmt.Errorf("verify: negative jitter %g", sc.Jitter)
-	}
-	if fs, err := sc.FabricSpec(); err != nil {
-		return err
-	} else if fs != nil {
-		if err := fs.CheckNodes(sc.Nodes); err != nil {
-			return err
-		}
 	}
 	if sc.Faults.Len() > 0 {
 		if err := sc.Faults.Check(sc.Nodes, sc.HCAs); err != nil {
@@ -114,26 +87,18 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// Spec renders the scenario as the one-line format ParseSpec reads. The
-// faults field is last and holds the schedule's own spec text with ';'
-// joining lines, so the whole scenario stays a single shell-friendly line.
+// Spec renders the scenario as the one-line format ParseSpec reads: alg,
+// the world keys (internal/world), then the run's own keys. The faults
+// field is last and holds the schedule's own spec text with ';' joining
+// lines, so the whole scenario stays a single shell-friendly line.
 func (sc Scenario) Spec() string {
+	blind := 0
+	if sc.Blind {
+		blind = 1
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "alg=%s nodes=%d ppn=%d hcas=%d sockets=%d layout=%s msg=%d seed=%d jitter=%g blind=%d",
-		sc.Alg, sc.Nodes, sc.PPN, sc.HCAs, sc.Sockets,
-		strings.ToLower(sc.Layout.String()), sc.Msg, sc.Seed, sc.Jitter, b2i(sc.Blind))
-	if sc.Fabric != "" && sc.Fabric != "flat" {
-		fmt.Fprintf(&b, " fabric=%s", sc.Fabric)
-	}
-	if len(sc.NodeHCAs) > 0 {
-		b.WriteString(" nodehcas=")
-		b.WriteString(joinInts(sc.NodeHCAs))
-	}
-	if len(sc.RailBW) > 0 {
-		b.WriteString(" railbw=")
-		b.WriteString(joinFloats(sc.RailBW))
-	}
-	b.WriteString(" faults=")
+	fmt.Fprintf(&b, "alg=%s %s msg=%d seed=%d jitter=%g blind=%d faults=",
+		sc.Alg, sc.World(), sc.Msg, sc.Seed, sc.Jitter, blind)
 	if sc.Faults.Len() > 0 {
 		b.WriteString(strings.ReplaceAll(sc.Faults.String(), "\n", "; "))
 	} else {
@@ -142,122 +107,51 @@ func (sc Scenario) Spec() string {
 	return b.String()
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// joinInts renders a "/"-separated int list (the nodehcas= value).
-func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, "/")
-}
-
-// joinFloats renders a "/"-separated float list (the railbw= value).
-func joinFloats(xs []float64) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
-	}
-	return strings.Join(parts, "/")
-}
-
-func splitInts(v string) ([]int, error) {
-	parts := strings.Split(v, "/")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		x, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
-func splitFloats(v string) ([]float64, error) {
-	parts := strings.Split(v, "/")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		x, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
-}
+// specKeys are the keys a scenario line may carry besides faults=.
+var specKeys = append([]string{"alg", "msg", "seed", "jitter", "blind"}, world.Keys...)
 
 // ParseSpec reads a line produced by Spec (the inverse, modulo
-// whitespace). Unknown keys are an error; every key except faults must
-// appear at most once and has a sensible default (one node, one rank, one
-// rail, block layout, empty message, healthy rails).
+// whitespace and key order). Unknown keys are an error; every key except
+// faults must appear at most once and has a sensible default (one node,
+// one rank, one rail, block layout, empty message, healthy rails).
 func ParseSpec(line string) (Scenario, error) {
-	sc := Scenario{Nodes: 1, PPN: 1, HCAs: 1, Layout: topology.Block, Seed: 1}
+	sc := Scenario{Seed: 1}
+	w := world.Spec{Nodes: 1, PPN: 1, HCAs: 1}
 	line = strings.TrimSpace(line)
 	faultText := ""
 	if i := strings.Index(line, "faults="); i >= 0 {
 		faultText = strings.TrimSpace(line[i+len("faults="):])
 		line = line[:i]
 	}
-	for _, field := range strings.Fields(line) {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return sc, fmt.Errorf("verify: bad field %q (want key=value)", field)
-		}
-		var err error
-		switch k {
-		case "alg":
-			sc.Alg = v
-		case "nodes":
-			sc.Nodes, err = strconv.Atoi(v)
-		case "ppn":
-			sc.PPN, err = strconv.Atoi(v)
-		case "hcas":
-			sc.HCAs, err = strconv.Atoi(v)
-		case "sockets":
-			sc.Sockets, err = strconv.Atoi(v)
-		case "layout":
-			switch v {
-			case "block":
-				sc.Layout = topology.Block
-			case "cyclic":
-				sc.Layout = topology.Cyclic
-			default:
-				err = fmt.Errorf("want block or cyclic, have %q", v)
-			}
-		case "msg":
-			sc.Msg, err = strconv.Atoi(v)
-		case "seed":
-			sc.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "jitter":
-			sc.Jitter, err = strconv.ParseFloat(v, 64)
-		case "blind":
-			sc.Blind = v == "1" || v == "true"
-		case "fabric":
-			var fs fabric.Spec
-			if fs, err = fabric.ParseSpec(v); err == nil {
-				sc.Fabric = fs.String()
-				if fs.Kind == fabric.Flat {
-					sc.Fabric = ""
+	fields, err := world.Tokenize(strings.Fields(line), specKeys...)
+	if err != nil {
+		return sc, fmt.Errorf("verify: %v", err)
+	}
+	for _, f := range fields {
+		known, err := w.Set(f.Key, f.Val)
+		if !known {
+			switch f.Key {
+			case "alg":
+				sc.Alg = f.Val
+			case "msg":
+				sc.Msg, err = strconv.Atoi(f.Val)
+			case "seed":
+				sc.Seed, err = strconv.ParseInt(f.Val, 10, 64)
+			case "jitter":
+				sc.Jitter, err = strconv.ParseFloat(f.Val, 64)
+			case "blind":
+				sc.Blind = f.Val == "1" || f.Val == "true"
+				if !sc.Blind && f.Val != "0" && f.Val != "false" {
+					err = fmt.Errorf("want 0, 1, true or false")
 				}
 			}
-		case "nodehcas":
-			sc.NodeHCAs, err = splitInts(v)
-		case "railbw":
-			sc.RailBW, err = splitFloats(v)
-		default:
-			err = fmt.Errorf("unknown key")
 		}
 		if err != nil {
-			return sc, fmt.Errorf("verify: field %q: %v", field, err)
+			return sc, fmt.Errorf("verify: field %q: %v", f.Key+"="+f.Val, err)
 		}
 	}
+	sc.Nodes, sc.PPN, sc.HCAs, sc.Layout = w.Nodes, w.PPN, w.HCAs, w.Layout
+	sc.Sockets, sc.Fabric, sc.NodeHCAs, sc.RailBW = w.Sockets, w.Fabric, w.NodeHCAs, w.RailBW
 	if faultText != "" && faultText != "none" && faultText != "(healthy)" {
 		sched, err := faults.Parse(strings.ReplaceAll(faultText, ";", "\n"))
 		if err != nil {

@@ -160,6 +160,9 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		"alg=mha-intra nodes=2 ppn=2",     // contract violation
 		"alg=ring faults=down node=5 z=1", // bad fault field
 		"alg=ring nodes=2 ppn=1 layout=hexagonal",
+		"alg=ring nodes=2 nodes=4",       // duplicate key
+		"alg=ring blind=yes",             // blind is 0|1|true|false
+		"alg=ring nodes=2 nodes=1 ppn=2", // duplicate key, valid either way
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted garbage", bad)
